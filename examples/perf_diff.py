@@ -1,31 +1,36 @@
 #!/usr/bin/env python3
 """Perf diffing: measure an optimization with before/after snapshots.
 
-The docs/PERFORMANCE.md evidence loop, end to end: run the co-located
-ping-heavy scenario twice from the same seed — once with the hot-path
-optimizations disabled (`legacy_hot_paths=True`: no token-verification
-cache, no ping coalescing) and once with the defaults — then diff the
-two registry snapshots with `repro.obs.diff` and print the table a perf
-PR would paste.  The same table is available from the CLI:
+The docs/PERFORMANCE.md evidence loop, end to end: load the committed
+"before" snapshot of the co-located ping-heavy scenario (taken before the
+token-verification cache and ping coalescing landed), run the same seed
+and horizon live on today's code, then diff the two registry snapshots
+with `repro.obs.diff` and print the table a perf PR would paste.  The
+same table is available from the CLI:
 
     repro metrics --diff before.json after.json
 
 Run:  python examples/perf_diff.py
 """
 
+import json
+import pathlib
+
 from repro.bench.hotpath import run_ping_heavy
 from repro.obs import diff_snapshots, render_diff
 
+BEFORE = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "benchmarks" / "results" / "token_cache_before.json"
+)
 SEED = 42
-DURATION_MS = 30_000.0
+DURATION_MS = 60_000.0  # the horizon the committed "before" side ran
 
 
 def main() -> None:
     # 1. both sides of the experiment, same seed, same virtual duration
-    print("running ping-heavy scenario (12 co-located entities) twice...")
-    before = run_ping_heavy(
-        seed=SEED, duration_ms=DURATION_MS, legacy_hot_paths=True
-    )
+    before = json.loads(BEFORE.read_text())
+    print("running ping-heavy scenario (12 co-located entities)...")
     after = run_ping_heavy(seed=SEED, duration_ms=DURATION_MS)
 
     # 2. the headline numbers a perf PR leads with

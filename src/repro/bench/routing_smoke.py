@@ -88,17 +88,12 @@ def run_routing_smoke(
     seed: int = 42,
     duration_ms: float = 30_000.0,
     detach_at_ms: float = 20_000.0,
-    legacy_hot_paths: bool = False,
     federation: bool = False,
 ) -> dict:
     """Run the scenario and return the routing counters as a snapshot dict.
 
-    ``legacy_hot_paths`` disables the token-verification cache, ping
-    coalescing, the TDN discovery cache (docs/PERFORMANCE.md) and the
-    per-direction duplex-link jitter streams, reproducing the
-    pre-optimization wire behaviour pinned by
-    ``benchmarks/results/routing_seed_legacy.json``.  The codec is pinned
-    to ``json`` so committed seeds stay valid under the CI codec matrix.
+    The codec is pinned to ``json`` so committed seeds stay valid under
+    the CI codec matrix.
 
     ``federation`` runs the same scenario on the summarized-interest
     control plane; with this scenario's handful of patterns the
@@ -112,10 +107,6 @@ def run_routing_smoke(
     dep = build_deployment(
         broker_ids=["b1", "b2", "b3"],
         seed=seed,
-        token_cache=not legacy_hot_paths,
-        ping_coalescing=not legacy_hot_paths,
-        tdn_query_cache=not legacy_hot_paths,
-        per_direction_link_rng=not legacy_hot_paths,
         federation=federation,
         codec="json",
     )

@@ -156,16 +156,8 @@ def scenario_plan(name: str) -> FaultPlan:
     return builder()
 
 
-def build_chaos_deployment(
-    seed: int = 42, legacy_hot_paths: bool = False, federation: bool = False
-):
+def build_chaos_deployment(seed: int = 42, federation: bool = False):
     """The shared three-broker-ring deployment every scenario runs on.
-
-    ``legacy_hot_paths`` disables the token-verification cache, ping
-    coalescing, the TDN discovery cache (docs/PERFORMANCE.md) and the
-    per-direction duplex-link jitter streams so the run reproduces the
-    pre-optimization behaviour pinned by
-    ``benchmarks/results/chaos_seed_legacy.json``.
 
     ``federation`` swaps in the summarized-interest control plane
     (:mod:`repro.messaging.federation`); at chaos-scenario pattern counts
@@ -183,10 +175,6 @@ def build_chaos_deployment(
         seed=seed,
         ping_policy=CHAOS_PING_POLICY,
         extra_links=[("b1", "b3")],
-        token_cache=not legacy_hot_paths,
-        ping_coalescing=not legacy_hot_paths,
-        tdn_query_cache=not legacy_hot_paths,
-        per_direction_link_rng=not legacy_hot_paths,
         federation=federation,
         codec="json",
     )
@@ -197,7 +185,6 @@ def run_scenario(
     name: str,
     seed: int = 42,
     duration_ms: float | None = None,
-    legacy_hot_paths: bool = False,
     federation: bool = False,
     analytics_store=None,
     deployment_probe=None,
@@ -220,9 +207,7 @@ def run_scenario(
     # and hence sampled latencies), so the bit-identical-replay promise needs
     # the process-global counter rewound before every run.
     reset_message_ids()
-    dep = build_chaos_deployment(
-        seed, legacy_hot_paths=legacy_hot_paths, federation=federation
-    )
+    dep = build_chaos_deployment(seed, federation=federation)
     if analytics_store is not None:
         dep.attach_analytics(analytics_store)
     entity = dep.add_traced_entity(ENTITY_ID)

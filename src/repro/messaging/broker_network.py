@@ -12,13 +12,14 @@ system, off the critical path of trace routing).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.crypto.costmodel import CryptoCostModel, CryptoOp, OpCost, PAPER_CALIBRATION
+from repro.crypto.costmodel import CryptoCostModel
 from repro.errors import ConfigurationError, RoutingError
-from repro.messaging.broker import Broker, RoutedFrame
+from repro.messaging.broker import Broker
 from repro.messaging.client import BrokerClient
 from repro.messaging.federation import FederatedInterestPlane, FederationConfig
+from repro.messaging.message import RoutedFrame
 from repro.messaging.routing import all_next_hops, hop_distance
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
@@ -39,12 +40,9 @@ class BrokerNetwork:
         seed: int = 0,
         monitor: Monitor | None = None,
         default_profile: TransportProfile = TCP_CLUSTER,
-        cost_calibration: Mapping[CryptoOp, OpCost] | None = None,
-        cost_scale: float = 1.0,
         ntp_model: NTPSkewModel | None = None,
         codec: str | None = None,
         federation: FederationConfig | bool | None = None,
-        per_direction_link_rng: bool = True,
     ) -> None:
         self.sim = sim
         self.streams = RandomStreams(seed)
@@ -53,14 +51,7 @@ class BrokerNetwork:
         #: Wire codec name for every link this fabric creates; ``None``
         #: falls through to each profile's ``codec`` and then ``json``.
         self.codec = codec
-        self._cost_calibration = dict(cost_calibration or PAPER_CALIBRATION)
-        self._cost_scale = cost_scale
         self._ntp_model = ntp_model
-        #: Jitter-stream derivation for duplex broker links.  ``True``
-        #: (the fixed behaviour) gives each direction its own stream;
-        #: ``False`` reproduces the historical shared-stream draws that
-        #: the ``*_legacy.json`` seed snapshots pin.
-        self.per_direction_link_rng = per_direction_link_rng
 
         #: Summarized-interest control plane (``repro.messaging.federation``);
         #: ``None`` keeps the verbatim per-pattern flooding path.
@@ -95,9 +86,7 @@ class BrokerNetwork:
         """
         if name not in self._machines:
             cost_model = CryptoCostModel(
-                calibration=self._cost_calibration,
                 seed=self.streams.derive_seed(f"cost.{name}"),
-                scale=self._cost_scale,
                 metrics=self.monitor.metrics,
             )
             if self._ntp_model is not None:
@@ -180,15 +169,10 @@ class BrokerNetwork:
         broker_a, broker_b = self.broker(a), self.broker(b)
         prof = profile or self.default_profile
         lo, hi = min(a, b), max(a, b)
-        if self.per_direction_link_rng:
-            # independent jitter streams per direction: draws on a->b can
-            # never perturb the latencies sampled on b->a
-            rng_ab = self.streams.stream(f"link.{lo}.{hi}:{a}->{b}")
-            rng_ba = self.streams.stream(f"link.{lo}.{hi}:{b}->{a}")
-        else:
-            # legacy shared stream (both directions interleave draws);
-            # kept only so *_legacy.json seed snapshots stay reproducible
-            rng_ab = rng_ba = self.streams.stream(f"link.{lo}.{hi}")
+        # independent jitter streams per direction: draws on a->b can
+        # never perturb the latencies sampled on b->a
+        rng_ab = self.streams.stream(f"link.{lo}.{hi}:{a}->{b}")
+        rng_ba = self.streams.stream(f"link.{lo}.{hi}:{b}->{a}")
 
         link_ab = Link(
             self.sim, prof,

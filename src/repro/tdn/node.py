@@ -62,7 +62,6 @@ class TDNNode:
         uuid_generator: UUIDGenerator,
         monitor: Monitor | None = None,
         service_delay_ms: float = 3.0,
-        query_cache: bool = True,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -74,9 +73,8 @@ class TDNNode:
         self._keys = KeyPair.generate(machine.rng)
         self.certificate = trust_anchor.issue(name, self._keys.public)
         self.store = AdvertisementStore()
-        #: Positive-answer discovery cache (docs/PERFORMANCE.md); ``None``
-        #: when disabled reproduces the always-scan query path exactly.
-        self.query_cache = DiscoveryCache() if query_cache else None
+        #: Positive-answer discovery cache (docs/PERFORMANCE.md).
+        self.query_cache = DiscoveryCache()
         self.failed = False
         self._peers: list["TDNNode"] = []
         self.replication_delay_ms = 2.0
@@ -93,8 +91,7 @@ class TDNNode:
     def recover(self) -> None:
         """Bring the node back; its query cache restarts cold."""
         self.failed = False
-        if self.query_cache is not None:
-            self.query_cache.clear()
+        self.query_cache.clear()
 
     # ------------------------------------------------------------ topic creation
 
@@ -246,46 +243,8 @@ class TDNNode:
         untouched, nothing expired) skips the store scan and per-candidate
         certificate verifications; the service delay is still paid.
         """
-        if self.failed:
-            raise DiscoveryError(f"TDN {self.name!r} is down")
-        metrics = self.monitor.metrics
-        metrics.counter("tdn.queries").inc()
-        with metrics.timer("tdn.query.latency_ms", self.sim.clock):
-            yield self.sim.timeout(self.service_delay_ms)
-            now = self.machine.now()
-            self.monitor.increment("tdn.discovery_requests")
-
-            cache = self.query_cache
-            key: tuple | None = None
-            if cache is not None:
-                key = DiscoveryCache.key("one", query.descriptor, credentials)
-                cached = cache.lookup(key, self.store.version, now)
-                if cached is not MISS:
-                    metrics.counter("tdn.query.cache.hit").inc()
-                    self.monitor.increment("tdn.discovery_answered")
-                    metrics.counter("tdn.queries.answered").inc()
-                    return cached
-                metrics.counter("tdn.query.cache.miss").inc()
-
-            candidates = self.store.find_matching(query, now)
-            for advertisement in candidates:
-                yield from self.machine.charge(CryptoOp.CERT_VERIFY)
-                if advertisement.restrictions.permits(
-                    credentials, self.trust_anchor, now
-                ):
-                    self.monitor.increment("tdn.discovery_answered")
-                    metrics.counter("tdn.queries.answered").inc()
-                    if cache is not None:
-                        cache.store(
-                            key,
-                            self.store.version,
-                            _cache_horizon_ms([advertisement], credentials),
-                            advertisement,
-                        )
-                    return advertisement
-            self.monitor.increment("tdn.discovery_ignored")
-            metrics.counter("tdn.queries.ignored").inc()
-            return None
+        answer = yield from self._answer("one", query, credentials)
+        return answer[0] if answer else None
 
     def discover_all(
         self, query: DiscoveryQuery, credentials
@@ -296,6 +255,17 @@ class TDNNode:
         silently omitted — the requester cannot tell filtered from
         nonexistent, preserving the single-topic semantics.
         """
+        answer = yield from self._answer("all", query, credentials)
+        return list(answer)
+
+    def _answer(
+        self, flavour: str, query: DiscoveryQuery, credentials
+    ) -> Generator[Event, None, tuple[TopicAdvertisement, ...]]:
+        """The permitted advertisements for a query, cache first.
+
+        ``flavour`` ``"one"`` stops at the first permitted candidate;
+        ``"all"`` keeps the newest advertisement per descriptor.
+        """
         if self.failed:
             raise DiscoveryError(f"TDN {self.name!r} is down")
         metrics = self.monitor.metrics
@@ -305,17 +275,14 @@ class TDNNode:
             now = self.machine.now()
             self.monitor.increment("tdn.discovery_requests")
 
-            cache = self.query_cache
-            key: tuple | None = None
-            if cache is not None:
-                key = DiscoveryCache.key("all", query.descriptor, credentials)
-                cached = cache.lookup(key, self.store.version, now)
-                if cached is not MISS:
-                    metrics.counter("tdn.query.cache.hit").inc()
-                    self.monitor.increment("tdn.discovery_answered")
-                    metrics.counter("tdn.queries.answered").inc()
-                    return list(cached)
-                metrics.counter("tdn.query.cache.miss").inc()
+            key = DiscoveryCache.key(flavour, query.descriptor, credentials)
+            cached = self.query_cache.lookup(key, self.store.version, now)
+            if cached is not MISS:
+                metrics.counter("tdn.query.cache.hit").inc()
+                self.monitor.increment("tdn.discovery_answered")
+                metrics.counter("tdn.queries.answered").inc()
+                return cached
+            metrics.counter("tdn.query.cache.miss").inc()
 
             permitted: list[TopicAdvertisement] = []
             seen_descriptors: set[str] = set()
@@ -328,20 +295,22 @@ class TDNNode:
                 ):
                     permitted.append(advertisement)
                     seen_descriptors.add(advertisement.descriptor)
-            if permitted:
-                self.monitor.increment("tdn.discovery_answered")
-                metrics.counter("tdn.queries.answered").inc()
-                if cache is not None:
-                    cache.store(
-                        key,
-                        self.store.version,
-                        _cache_horizon_ms(permitted, credentials),
-                        tuple(permitted),
-                    )
-            else:
+                    if flavour == "one":
+                        break
+            if not permitted:
                 self.monitor.increment("tdn.discovery_ignored")
                 metrics.counter("tdn.queries.ignored").inc()
-            return permitted
+                return ()
+            self.monitor.increment("tdn.discovery_answered")
+            metrics.counter("tdn.queries.answered").inc()
+            answer = tuple(permitted)
+            self.query_cache.store(
+                key,
+                self.store.version,
+                _cache_horizon_ms(permitted, credentials),
+                answer,
+            )
+            return answer
 
     def verify_advertisement(self, advertisement: TopicAdvertisement) -> bool:
         """Validate a presented advertisement's TDN signature and fields."""
@@ -364,7 +333,6 @@ class TDNCluster:
         machines: list[Machine],
         monitor: Monitor | None = None,
         uuid_seed: int = 0,
-        query_cache: bool = True,
     ) -> None:
         if not machines:
             raise DiscoveryError("a TDN cluster needs at least one node")
@@ -379,7 +347,6 @@ class TDNCluster:
                 trust_anchor=trust_anchor,
                 uuid_generator=generator,
                 monitor=self.monitor,
-                query_cache=query_cache,
             )
             for i, machine in enumerate(machines)
         ]

@@ -39,7 +39,7 @@ from repro.security.confidentiality import wrap_trace_body
 from repro.security.keydist import build_key_payload
 from repro.sim.engine import Event
 from repro.sim.monitor import Monitor
-from repro.tracing.coalesce import DEFAULT_COALESCE_WINDOW_MS, PingCoalescer
+from repro.tracing.coalesce import PingCoalescer
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict, FailureDetector
 from repro.tracing.interest import InterestCategory, InterestRegistry
 from repro.tracing.pings import Ping, PingResponse
@@ -61,7 +61,11 @@ from repro.util.identifiers import SessionId, UUIDGenerator
 from repro.util.serialization import canonical_decode
 
 #: Ping responses per derived NETWORK_METRICS trace.
-DEFAULT_METRICS_EVERY = 5
+METRICS_EVERY = 5
+
+#: Uniform jitter, as a fraction of the interval, on uncoalesced ping
+#: timers (the initial phase is drawn over a whole interval).
+PING_JITTER_FRAC = 0.05
 
 #: How often the broker re-gauges tracker interest.
 DEFAULT_GAUGE_INTERVAL_MS = 60_000.0
@@ -93,13 +97,10 @@ class TraceManager:
         monitor: Monitor | None = None,
         ping_policy: AdaptivePingPolicy | None = None,
         gauge_interval_ms: float = DEFAULT_GAUGE_INTERVAL_MS,
-        metrics_every: int = DEFAULT_METRICS_EVERY,
         interest_ttl_ms: float = 120_000.0,
         detector_factory=FailureDetector,
-        ping_jitter_frac: float = 0.05,
         gate_by_interest: bool = True,
         ping_coalescing: bool = False,
-        coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
         client_locator=None,
     ) -> None:
         self.broker = broker
@@ -110,19 +111,15 @@ class TraceManager:
         self.monitor = monitor or broker.monitor
         self.ping_policy = ping_policy or AdaptivePingPolicy()
         self.gauge_interval_ms = gauge_interval_ms
-        self.metrics_every = metrics_every
         self.interest_ttl_ms = interest_ttl_ms
         self.detector_factory = detector_factory
-        self.ping_jitter_frac = ping_jitter_frac
         # section 3.5 gating; disable only for the EXP-A4 ablation
         self.gate_by_interest = gate_by_interest
         # batch same-window pings to co-located entities into one frame;
         # client_locator maps an entity id to its host (machine name) so
         # the coalescer knows who shares a wire (docs/PERFORMANCE.md)
         self.coalescer = (
-            PingCoalescer(
-                self, window_ms=coalesce_window_ms, locate_host=client_locator
-            )
+            PingCoalescer(self, locate_host=client_locator)
             if ping_coalescing
             else None
         )
@@ -518,7 +515,7 @@ class TraceManager:
 
         key = session.session_id.value.hex
         self._response_counts[key] = self._response_counts.get(key, 0) + 1
-        if self._response_counts[key] % self.metrics_every == 0:
+        if self._response_counts[key] % METRICS_EVERY == 0:
             metrics = session.history.network_metrics(
                 self.machine.now(), self.ping_policy.response_deadline_ms
             )
@@ -608,10 +605,9 @@ class TraceManager:
         deadline = self.ping_policy.response_deadline_ms
         # random initial phase: colocated sessions must not ping in lockstep
         # (their registration times are often harmonically related)
-        if self.ping_jitter_frac:
-            yield self.sim.timeout(
-                self.machine.rng.uniform(0.0, session.current_interval_ms)
-            )
+        yield self.sim.timeout(
+            self.machine.rng.uniform(0.0, session.current_interval_ms)
+        )
         while session.active and not session.declared_failed:
             if self.broker.failed:
                 # the broker process is down: a dead host issues no pings
@@ -709,9 +705,9 @@ class TraceManager:
                 # With the coalescer the flush slack plays that role instead,
                 # and phase lock is *wanted*: same-interval sessions flushed
                 # together stay merged and keep sharing one wire frame.
-                if self.ping_jitter_frac and self.coalescer is None:
+                if self.coalescer is None:
                     remaining *= 1.0 + self.machine.rng.uniform(
-                        -self.ping_jitter_frac, self.ping_jitter_frac
+                        -PING_JITTER_FRAC, PING_JITTER_FRAC
                     )
                 yield self.sim.timeout(remaining)
 

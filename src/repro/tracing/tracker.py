@@ -96,9 +96,6 @@ class Tracker:
         self.received: list[ReceivedTrace] = []
         self.on_trace: Callable[[ReceivedTrace], None] | None = None
         self._watched: dict[str, _WatchedEntity] = {}
-        # tokens already verified (by digest of their wire form): a token is
-        # re-verified only when it changes, e.g. after a near-expiry refresh
-        self._verified_tokens: dict[bytes, object] = {}
         # per-session trace sequence tracking for gap detection
         self._last_seq: dict[str, int] = {}
         self.missed_trace_count = 0
@@ -352,50 +349,20 @@ class Tracker:
         """Verify the attached authorization token; None on failure.
 
         Verification cost is paid once per distinct token: subsequent
-        messages carrying a byte-identical token hit the cache (until the
-        entity refreshes the token, which changes its bytes).  Expiry is
-        still checked on every message.  When the verifier carries a
-        :class:`~repro.auth.cache.TokenVerificationCache` (the default from
-        ``build_deployment``), lookups ride that shared, instrumented LRU;
-        otherwise the tracker's private digest map preserves the legacy
-        behaviour exactly.
+        messages carrying a byte-identical token hit the verifier's cache
+        (until the entity refreshes the token, which changes its bytes).
+        Expiry is still checked on every message.
         """
         if message.auth_token is None:
             self.monitor.increment("tracker.traces_without_token")
             return None
-        from repro.auth.cache import token_digest
-
-        digest = token_digest(message.auth_token)
-        cache = self.token_verifier.cache
-        if cache is not None:
-            cached_token = cache.lookup(
-                digest, self.machine.now(), self.token_verifier.skew_tolerance_ms
-            )
-            if cached_token is not None:
-                return cached_token
-        else:
-            cached = self._verified_tokens.get(digest)
-            if cached is not None:
-                from repro.auth.tokens import AuthorizationToken
-
-                token: AuthorizationToken = cached  # type: ignore[assignment]
-                if token.expired(
-                    self.machine.now(), self.token_verifier.skew_tolerance_ms
-                ):
-                    self.monitor.increment("tracker.tokens_rejected")
-                    del self._verified_tokens[digest]
-                    return None
-                return token
-        yield from self.machine.charge(CryptoOp.TOKEN_VERIFY)
         try:
-            token = self.token_verifier.verify(message.auth_token, self.machine.now())
+            token = yield from self.token_verifier.verify_charged(
+                message.auth_token, self.machine
+            )
         except TokenError:
             self.monitor.increment("tracker.tokens_rejected")
             return None
-        if cache is not None:
-            cache.store(digest, token)
-        else:
-            self._verified_tokens[digest] = token
         return token
 
     def _handle_trace(

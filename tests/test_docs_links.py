@@ -54,6 +54,26 @@ def test_reachability_detects_orphan(checker, tmp_path):
     assert checker.unreachable_docs(tmp_path) == ["docs/ORPHAN.md"]
 
 
+def test_named_paths_exist(checker):
+    findings = checker.missing_named_paths(REPO_ROOT)
+    assert not findings, "docs name missing paths:\n" + "\n".join(findings)
+
+
+def test_named_path_check_detects_missing(checker, tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_real.py").write_text("")
+    (tmp_path / "README.md").write_text(
+        "`tests/test_real.py` `tests/test_gone.py` `benchmarks/results/*.txt` "
+        "`python tools/run.py` `docs/NOT_A_CODE_DIR.md`\n"
+    )
+    (tmp_path / "docs" / "A.md").write_text("see `src/repro/gone.py`\n")
+    assert checker.missing_named_paths(tmp_path) == [
+        "README.md: tests/test_gone.py",
+        "docs/A.md: src/repro/gone.py",
+    ]
+
+
 def test_analytics_instruments_documented(checker):
     findings = checker.undocumented_analytics_instruments(REPO_ROOT)
     assert not findings, (

@@ -1,6 +1,6 @@
 """Relative-link and doc-reachability checker for the repo's markdown docs.
 
-Three gates in one pass:
+Four gates in one pass:
 
 1. **Broken links** — scans ``README.md`` and ``docs/*.md`` for markdown
    links, resolves every relative target against the linking file's
@@ -17,6 +17,11 @@ Three gates in one pass:
    The general instrument gate is ``tools/check_metric_docs.py``; this
    narrow regex check keeps the analytics family honest even when that
    heavier gate is skipped.
+4. **Named paths** — every backticked repo-relative path
+   (`` `benchmarks/…` ``, `` `tests/…` ``, `` `src/…` ``, `` `tools/…` ``,
+   `` `examples/…` ``) in ``README.md`` and ``docs/*.md`` must exist on
+   disk, so no page keeps naming a deleted seed, test or module.  Glob
+   patterns (``*``, ``?``, ``[``) are skipped.
 
 Used two ways: the ``analyze`` CI job runs it as a script (exit 1 on
 findings), and ``tests/test_docs_links.py`` imports it so the tier-1
@@ -34,6 +39,12 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A whole backtick span that is a path under one of the repo's top-level
+#: code directories, resolved against the repo root.
+REPO_PATH_RE = re.compile(r"`((?:benchmarks|tests|src|tools|examples)/[^`\s]*)`")
+
+GLOB_CHARS = ("*", "?", "[")
 
 #: Literal registry-factory calls registering an analytics.* instrument.
 ANALYTICS_INSTRUMENT_RE = re.compile(
@@ -106,6 +117,18 @@ def unreachable_docs(root: pathlib.Path) -> list[str]:
     ]
 
 
+def missing_named_paths(root: pathlib.Path) -> list[str]:
+    """``"<file>: <path>"`` for every backticked repo path that is gone."""
+    findings: list[str] = []
+    for doc in doc_files(root):
+        for path in REPO_PATH_RE.findall(doc.read_text()):
+            if any(char in path for char in GLOB_CHARS):
+                continue
+            if not (root / path).exists():
+                findings.append(f"{doc.relative_to(root)}: {path}")
+    return findings
+
+
 def undocumented_analytics_instruments(root: pathlib.Path) -> list[str]:
     """Literal ``analytics.*`` instruments missing from OBSERVABILITY.md."""
     doc = root / "docs" / "OBSERVABILITY.md"
@@ -128,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
     for finding in unreachable_docs(root):
         print(f"UNREACHABLE FROM README: {finding}")
         failed = True
+    for finding in missing_named_paths(root):
+        print(f"MISSING PATH: {finding}")
+        failed = True
     for finding in undocumented_analytics_instruments(root):
         print(
             f"UNDOCUMENTED ANALYTICS INSTRUMENT: {finding} is registered "
@@ -137,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     if not failed:
         print(
             f"doc links OK ({len(doc_files(root))} files checked, "
-            "all docs reachable from README, analytics instruments documented)"
+            "all docs reachable from README, named paths exist, "
+            "analytics instruments documented)"
         )
     return 1 if failed else 0
 
