@@ -11,9 +11,17 @@ answers from the cache until the token expires, is revoked, or is evicted.
 
 Cache keys are the SHA-1 digest of the token's canonical wire form, so a
 refreshed token (new validity window, new bytes) can never alias a stale
-entry.  Every ``lookup``/``store`` outcome is counted on the deployment
-registry (``auth.token.cache.{hit,miss,evicted}``) so perf PRs can cite
-hit rates straight from a snapshot (docs/PERFORMANCE.md).
+entry.  A broker publishes every trace of a session with the same frozen
+wire form (:meth:`AuthorizationToken.wire_form`, a
+:class:`~repro.util.serialization.FrozenMap`), whose canonical bytes were
+rendered once and cannot drift from its content, because the content cannot
+change; its digest is computed once per form and reused at every hop.  A
+plain dict (a test's or an adversary's) is still encoded and hashed on every
+call, and an equal plain dict gets the same digest as the frozen form.
+
+Every ``lookup``/``store`` outcome is counted on the deployment registry
+(``auth.token.cache.{hit,miss,evicted}``) so perf PRs can cite hit rates
+straight from a snapshot (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from repro.auth.tokens import AuthorizationToken
 from repro.crypto.digest import sha1_digest
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import FrozenMap, canonical_encode
 
 #: Default entry capacity; sized for "every live session on one broker".
 DEFAULT_TOKEN_CACHE_CAPACITY = 256
@@ -32,6 +40,8 @@ DEFAULT_TOKEN_CACHE_CAPACITY = 256
 
 def token_digest(token_dict: dict) -> bytes:
     """Stable cache key: SHA-1 over the token's canonical wire form."""
+    if type(token_dict) is FrozenMap:
+        return token_dict.sha1()
     return sha1_digest(canonical_encode(token_dict))
 
 

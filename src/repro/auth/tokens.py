@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
@@ -26,6 +26,7 @@ from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
 from repro.errors import SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.identifiers import UUID128
+from repro.util.serialization import FrozenMap, freeze
 
 
 class TokenRights(enum.Enum):
@@ -45,6 +46,7 @@ class AuthorizationToken:
     valid_from_ms: float
     valid_until_ms: float
     owner_signature: SignedEnvelope
+    _wire: FrozenMap | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- creation ---------------------------------------------------------------
 
@@ -146,6 +148,17 @@ class AuthorizationToken:
             "valid_until_ms": self.valid_until_ms,
             "owner_signature": self.owner_signature.to_dict(),
         }
+
+    def wire_form(self) -> FrozenMap:
+        """The frozen :meth:`to_dict`, rendered once and shared by every trace.
+
+        A broker attaches this one object to every trace of the session, so
+        wire sizing splices its stored bytes and every verifier's cache key
+        (:func:`repro.auth.cache.token_digest`) hashes them once.
+        """
+        if self._wire is None:
+            object.__setattr__(self, "_wire", freeze(self.to_dict()))
+        return self._wire
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuthorizationToken":

@@ -6,6 +6,9 @@ Two patterns recur throughout the paper's protocol:
   for the message and encrypting this message digest with its private key."
   :func:`sign_payload` produces a :class:`SignedEnvelope` whose signature is
   an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload.
+  The payload is frozen (:func:`repro.util.serialization.freeze`) first, so
+  the bytes signed are the bytes verified, and a caller that publishes
+  ``envelope.payload`` as its message body shares them with wire sizing.
 
 * **Sealing** (sections 3.2, 5.1): "The response message is encrypted with a
   randomly generated secret key, and this secret key is encrypted using the
@@ -22,7 +25,12 @@ from typing import Any
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.errors import DecryptionError, SignatureError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import (
+    canonical_bytes,
+    canonical_decode,
+    canonical_encode,
+    freeze,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +42,7 @@ class SignedEnvelope:
     signer_fingerprint: bytes
 
     def payload_bytes(self) -> bytes:
-        return canonical_encode(self.payload)
+        return canonical_bytes(self.payload)
 
     def to_dict(self) -> dict:
         """Serializable rendering for embedding in messages."""
@@ -54,11 +62,11 @@ class SignedEnvelope:
 
 
 def sign_payload(payload: Any, private_key: RSAPrivateKey) -> SignedEnvelope:
-    """Sign the canonical encoding of ``payload``."""
-    encoded = canonical_encode(payload)
+    """Sign the canonical encoding of ``payload``, frozen into the envelope."""
+    frozen = freeze(payload)
     return SignedEnvelope(
-        payload=payload,
-        signature=private_key.sign(encoded),
+        payload=frozen,
+        signature=private_key.sign(canonical_bytes(frozen)),
         signer_fingerprint=private_key.public.fingerprint(),
     )
 

@@ -874,11 +874,11 @@ class TraceManager:
         topic = session.topics.topic_for_trace(trace_type)
         message = Message(
             topic=Topic.parse(topic.canonical),
-            body=body,
+            body=envelope.payload,
             source=self.broker.broker_id,
             created_ms=now,
             signature=envelope.to_dict(),
-            auth_token=session.token.to_dict(),
+            auth_token=session.token.wire_form(),
             encrypted=secured,
         )
         self.broker.publish_from_broker(message)

@@ -359,7 +359,7 @@ class TracedEntity:
         else:
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
             envelope = self.credentials.sign(body)
-            self.client.publish(topic, body, signature=envelope.to_dict())
+            self.client.publish(topic, envelope.payload, signature=envelope.to_dict())
 
     def _on_broker_message(self, message: Message) -> None:
         """Pings (and future broker-initiated control) arrive here."""

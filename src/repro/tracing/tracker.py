@@ -213,7 +213,7 @@ class Tracker:
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = self.credentials.sign(body)
         self.client.publish(
-            topics.interest_response, body, signature=envelope.to_dict()
+            topics.interest_response, envelope.payload, signature=envelope.to_dict()
         )
         self.monitor.increment("tracker.untracked")
         return True
@@ -294,7 +294,9 @@ class Tracker:
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = self.credentials.sign(body)
         self.client.publish(
-            watched.topics.interest_response, body, signature=envelope.to_dict()
+            watched.topics.interest_response,
+            envelope.payload,
+            signature=envelope.to_dict(),
         )
         watched.last_response_ms = self.machine.now()
         self.monitor.increment("tracker.interest_responses")

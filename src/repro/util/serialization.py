@@ -10,10 +10,18 @@ binary format (a deterministic subset of a bencoding-like scheme).
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``/``tuple`` (decoded as list), and ``dict`` with ``str`` keys (encoded
 in sorted key order).
+
+A value that many consumers render — a signed payload, an authorization
+token's wire form — is wrapped once in a :class:`FrozenMap`: a read-only
+``dict`` that renders its canonical bytes at construction.  Every later
+encode of it (on its own or nested in a larger value) splices those bytes
+verbatim, so signing, signature verification, token-cache keys and wire
+sizing share one rendering.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Any
 
@@ -36,6 +44,84 @@ def canonical_encode(value: Any) -> bytes:
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
+
+
+class FrozenMap(dict):
+    """A read-only ``dict`` carrying its canonical encoding.
+
+    The encoding is rendered once, at construction, through
+    :func:`canonical_encode`; nested dicts are frozen first, so they splice
+    their own bytes into it.  Because no mutator works, the stored bytes
+    can never drift from the content, and ``_encode_into`` splices them
+    verbatim — byte-identical to encoding the equal plain dict.  Equality,
+    iteration and ``isinstance(value, dict)`` behave as for a plain dict;
+    ``dict(frozen)`` is a mutable shallow copy.
+    """
+
+    __slots__ = ("_canonical", "_sha1")
+
+    def __init__(self, value: dict, /) -> None:
+        items = {key: freeze(item) for key, item in value.items()}
+        canonical = canonical_encode(items)
+        dict.__init__(self, items)
+        self._canonical = canonical
+        self._sha1: bytes | None = None
+
+    def sha1(self) -> bytes:
+        """SHA-1 of the stored canonical encoding, computed on first use."""
+        if self._sha1 is None:
+            self._sha1 = hashlib.sha1(self._canonical).digest()
+        return self._sha1
+
+    def __reduce__(self) -> tuple:
+        return FrozenMap, (dict(self),)
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise SerializationTypeError("FrozenMap is read-only; copy it with dict()")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+class FrozenList(list):
+    """A read-only ``list``, so nothing inside a :class:`FrozenMap` can change."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return FrozenList, (list(self),)
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise SerializationTypeError("FrozenList is read-only; copy it with list()")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+
+def freeze(value: Any) -> Any:
+    """``value`` made read-only at every depth.
+
+    Dicts become :class:`FrozenMap` and lists :class:`FrozenList`; tuples
+    are rebuilt around their frozen items.  Scalars, bytes and values that
+    are already frozen are returned as they are.
+    """
+    kind = type(value)
+    if kind is FrozenMap or kind is FrozenList:
+        return value
+    if isinstance(value, dict):
+        return FrozenMap(value)
+    if isinstance(value, list):
+        return FrozenList(freeze(item) for item in value)
+    if isinstance(value, tuple):
+        return tuple(freeze(item) for item in value)
+    return value
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """The canonical encoding, reusing a :class:`FrozenMap`'s stored bytes."""
+    if type(value) is FrozenMap:
+        return value._canonical
+    return canonical_encode(value)
 
 
 def canonical_encode_into(value: Any, out: bytearray) -> int:
@@ -86,6 +172,9 @@ def _encode_into(value: Any, out: bytearray) -> None:
             _encode_into(item, out)
         out += _TAG_END
     elif isinstance(value, dict):
+        if type(value) is FrozenMap:
+            out += value._canonical
+            return
         out += _TAG_DICT
         keys = list(value.keys())
         for key in keys:

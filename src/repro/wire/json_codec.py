@@ -36,6 +36,8 @@ _MESSAGE_KEYS = frozenset(
     }
 )
 _FRAME_KEYS = _MESSAGE_KEYS | {"destinations"}
+#: Encoded length of the ``destinations`` key every routed frame adds.
+_DESTINATIONS_KEY_LEN = len(canonical_encode("destinations"))
 
 
 def message_from_wire_dict(data: dict) -> Message:
@@ -102,6 +104,4 @@ class JsonCodec:
         value — which makes frame sizing additive over the memoized
         message size.
         """
-        return len(canonical_encode("destinations")) + len(
-            canonical_encode(list(frame.destinations))
-        )
+        return _DESTINATIONS_KEY_LEN + len(canonical_encode(list(frame.destinations)))

@@ -18,6 +18,7 @@ from repro.auth import (
 )
 from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
+from repro.util.serialization import FrozenMap
 
 from tests.auth.test_verification import make_advertisement
 
@@ -33,6 +34,31 @@ def make_token(keypair, second_keypair, rng, valid_until_ms=10_000.0, topic_valu
 @pytest.fixture
 def token(keypair, second_keypair, rng):
     return make_token(keypair, second_keypair, rng)
+
+
+class _Machine:
+    """Just enough of a :class:`~repro.sim.machine.Machine` for verify_charged."""
+
+    def __init__(self, now_ms: float) -> None:
+        self.now_ms = now_ms
+        self.charges = 0
+
+    def now(self) -> float:
+        return self.now_ms
+
+    def charge(self, op):
+        self.charges += 1
+        return
+        yield
+
+
+def _drive(process):
+    """Run a process body whose charges never yield; return its value."""
+    try:
+        while True:
+            next(process)
+    except StopIteration as stop:
+        return stop.value
 
 
 class TestCacheUnit:
@@ -127,6 +153,54 @@ class TestVerifierIntegration:
         assert cache.lookup(digest, 9_000.0, verifier.skew_tolerance_ms) is not None
         assert cache.lookup(digest, 10_200.0, verifier.skew_tolerance_ms) is None
         assert digest not in cache
+
+
+class TestFrozenWireForm:
+    """The frozen wire form shares one digest without aliasing other tokens."""
+
+    def test_wire_form_is_memoized_and_equals_to_dict(self, token):
+        frozen = token.wire_form()
+        assert type(frozen) is FrozenMap
+        assert token.wire_form() is frozen
+        assert frozen == token.to_dict()
+        assert token_digest(frozen) == token_digest(token.to_dict())
+
+    def test_forged_plain_copy_is_a_miss_and_rejected(self, second_keypair, token):
+        metrics = MetricsRegistry()
+        cache = TokenVerificationCache(metrics=metrics)
+        verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
+        machine = _Machine(now_ms=1.0)
+        genuine = token.wire_form()
+        verified = _drive(verifier.verify_charged(genuine, machine))
+        assert verified.valid_until_ms == token.valid_until_ms
+        assert _drive(verifier.verify_charged(genuine, machine)) is verified
+        assert machine.charges == 1
+
+        forged = dict(genuine)
+        forged["valid_until_ms"] = genuine["valid_until_ms"] + 1_000_000
+        assert token_digest(forged) != token_digest(genuine)
+        with pytest.raises(TokenError):
+            _drive(verifier.verify_charged(forged, machine))
+        assert machine.charges == 2  # the forgery paid the full check
+        counters = metrics.snapshot()["counters"]
+        assert counters["auth.token.cache.hit"] == 1
+        assert counters["auth.token.cache.miss"] == 2
+        assert len(cache) == 1
+
+    def test_revoking_a_plain_copy_refuses_the_frozen_form(self, second_keypair, token):
+        cache = TokenVerificationCache()
+        verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
+        genuine = token.wire_form()
+        cache.store(token_digest(genuine), verifier.verify(genuine, now_ms=0.0))
+        plain = token.to_dict()
+        assert type(plain) is dict
+        verifier.revoke(plain)
+        assert verifier.is_revoked(genuine)
+        assert token_digest(genuine) not in cache
+        with pytest.raises(TokenError):
+            verifier.verify(genuine, now_ms=1.0)
+        with pytest.raises(TokenError):
+            _drive(verifier.verify_charged(genuine, _Machine(now_ms=1.0)))
 
 
 class TestDeploymentIntegration:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     AESKey,
     aes_cbc_decrypt,
@@ -47,6 +48,14 @@ class TestKnownAnswers:
         assert (
             decrypt_block(bytes.fromhex(ct_hex), key.round_keys()) == FIPS_PLAINTEXT
         )
+
+
+class TestMultiplicationTables:
+    @pytest.mark.parametrize("factor", [2, 3, 9, 11, 13, 14])
+    def test_table_matches_gmul(self, factor):
+        table = getattr(aes, f"_MUL{factor}")
+        assert len(table) == 256
+        assert all(table[x] == aes._gmul(x, factor) for x in range(256))
 
 
 class TestAESKey:

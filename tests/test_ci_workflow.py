@@ -42,6 +42,7 @@ def test_has_lint_analyze_test_bench_and_perf_jobs(workflow):
         "scale-smoke",
         "campaign-smoke",
         "perf-gate",
+        "perfbench-smoke",
     }
 
 
@@ -146,6 +147,21 @@ def test_perf_gate_runs_both_codecs_against_committed_baselines(workflow):
     )
     assert any("--codec json" in run for run in runs)
     assert any("--codec compact" in run for run in runs)
+
+
+def test_perfbench_smoke_pins_every_workload_and_traced_coverage(workflow):
+    runs = [
+        step.get("run") or ""
+        for step in workflow["jobs"]["perfbench-smoke"]["steps"]
+    ]
+    sweep = next(run for run in runs if "--seconds 0" in run and "--trace" not in run)
+    assert "python perfbench/run.py" in sweep
+    for workload in ("entity-churn", "ping-heavy", "fabric-scale"):
+        assert workload in sweep
+    assert any(
+        "perfbench/run.py --workload ping-heavy --trace 1 --seconds 0" in run
+        for run in runs
+    )
 
 
 def test_analyze_job_enforces_the_baseline_ratchet(workflow):
